@@ -18,22 +18,9 @@ import (
 	"ditto/internal/sim"
 )
 
-// BenchmarkEngineScheduleFire is the engine hot-path baseline: one
-// handle-returning After plus the Step that fires it. Every op heap-allocates
-// an Event.
-func BenchmarkEngineScheduleFire(b *testing.B) {
-	eng := sim.NewEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.After(sim.Microsecond, func() {})
-		eng.Step()
-	}
-}
-
-// BenchmarkEngineScheduleFirePooled is the same loop on the handle-free
-// AfterFunc path: after the first op the Event comes from the engine's free
-// list, so the steady state is allocation-free.
+// BenchmarkEngineScheduleFirePooled is the engine hot-path baseline: one
+// AfterFunc plus the Step that fires it. After the first op the event comes
+// from the engine's free list, so the steady state is allocation-free.
 func BenchmarkEngineScheduleFirePooled(b *testing.B) {
 	eng := sim.NewEngine()
 	b.ReportAllocs()
@@ -71,7 +58,6 @@ func benchOptions() experiments.Options {
 		TuneIters:     2,
 		Seed:          1,
 		IncludeSocial: true,
-		SocialNodes:   2,
 	}
 }
 

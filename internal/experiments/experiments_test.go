@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"io"
+	"bytes"
 	"strings"
 	"testing"
 
@@ -11,13 +11,13 @@ import (
 )
 
 // fastOptions shrinks everything for unit testing; benches use
-// DefaultOptions.
+// DefaultOptions. Output is on: every figure test checks its bytes against
+// a golden file.
 func fastOptions() Options {
 	return Options{
 		Windows:   Windows{Warmup: 10 * sim.Millisecond, Measure: 50 * sim.Millisecond},
 		TuneIters: 0,
 		Seed:      3,
-		Quiet:     true,
 	}
 }
 
@@ -41,7 +41,9 @@ func TestFig5SingleApp(t *testing.T) {
 	}
 	opt := fastOptions()
 	opt.Apps = []string{"redis"}
-	res := RunFig5(io.Discard, opt)
+	var buf bytes.Buffer
+	res := RunFig5(&buf, opt)
+	checkGolden(t, buf.Bytes())
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 loads × 2 variants", len(res.Rows))
 	}
@@ -79,7 +81,9 @@ func TestFig6SmallSweep(t *testing.T) {
 		t.Skip("full-pipeline run; skipped in -short")
 	}
 	opt := fastOptions()
-	res := RunFig6(io.Discard, opt, []float64{150, 400})
+	var buf bytes.Buffer
+	res := RunFig6(&buf, opt, []float64{150, 400})
+	checkGolden(t, buf.Bytes())
 	if len(res.Points) != 4 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -106,7 +110,9 @@ func TestFig8SingleApp(t *testing.T) {
 	}
 	opt := fastOptions()
 	opt.Apps = []string{"nginx"}
-	res := RunFig8(io.Discard, opt)
+	var buf bytes.Buffer
+	res := RunFig8(&buf, opt)
+	checkGolden(t, buf.Bytes())
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -124,7 +130,9 @@ func TestFig9Stages(t *testing.T) {
 	}
 	opt := fastOptions()
 	opt.TuneIters = 1
-	res := RunFig9(io.Discard, opt)
+	var buf bytes.Buffer
+	res := RunFig9(&buf, opt)
+	checkGolden(t, buf.Bytes())
 	if len(res.Rows) != 9 {
 		t.Fatalf("stages = %d, want A..I", len(res.Rows))
 	}
@@ -151,7 +159,9 @@ func TestFig10Scenarios(t *testing.T) {
 		t.Skip("full-pipeline run; skipped in -short")
 	}
 	opt := fastOptions()
-	res := RunFig10(io.Discard, opt)
+	var buf bytes.Buffer
+	res := RunFig10(&buf, opt)
+	checkGolden(t, buf.Bytes())
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 6 scenarios × 2", len(res.Rows))
 	}
@@ -187,7 +197,9 @@ func TestFig11SmallGrid(t *testing.T) {
 		t.Skip("full-pipeline run; skipped in -short")
 	}
 	opt := fastOptions()
-	res := RunFig11(io.Discard, opt, []int{4, 16}, []float64{1.1, 2.1})
+	var buf bytes.Buffer
+	res := RunFig11(&buf, opt, []int{4, 16}, []float64{1.1, 2.1})
+	checkGolden(t, buf.Bytes())
 	if len(res.Cells) != 8 {
 		t.Fatalf("cells = %d", len(res.Cells))
 	}
@@ -215,7 +227,9 @@ func TestFig7SingleAppAcrossPlatforms(t *testing.T) {
 	}
 	opt := fastOptions()
 	opt.Apps = []string{"mongodb"}
-	res := RunFig7(io.Discard, opt)
+	var buf bytes.Buffer
+	res := RunFig7(&buf, opt)
+	checkGolden(t, buf.Bytes())
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 platforms × 2", len(res.Rows))
 	}
@@ -246,7 +260,9 @@ func TestPhaseScanNoRegularPhases(t *testing.T) {
 	opt := fastOptions()
 	opt.Windows.Measure = 80 * sim.Millisecond
 	build := func(m *platform.Machine) app.App { return app.NewRedis(m, 6379, 13) }
-	scan := RunPhaseScan(io.Discard, opt, build, Load{Conns: 8, Seed: 13}, 8)
+	var buf bytes.Buffer
+	scan := RunPhaseScan(&buf, opt, build, Load{Conns: 8, Seed: 13}, 8)
+	checkGolden(t, buf.Bytes())
 	if len(scan.Samples) != 8 {
 		t.Fatalf("samples = %d", len(scan.Samples))
 	}

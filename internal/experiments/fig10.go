@@ -3,12 +3,9 @@ package experiments
 import (
 	"io"
 
-	"ditto/internal/app"
-	"ditto/internal/core"
 	"ditto/internal/interfere"
 	"ditto/internal/platform"
 	"ditto/internal/runner"
-	"ditto/internal/synth"
 )
 
 // Fig10Row is one interference scenario's measurement for NGINX (Fig. 10):
@@ -33,8 +30,21 @@ type Fig10Result struct {
 type fig10Scenario struct {
 	name string
 	opts []platform.Option // platform knobs (HT-sibling stressors)
-	llc  bool              // co-located LLC hammer (iBench)
-	net  bool              // competing network flow (iperf3)
+	// stress starts a co-located stressor after the app: an LLC hammer
+	// (iBench) or a competing network flow (iperf3).
+	stress func(env *Env)
+}
+
+// fig10Scenarios are the stressor configurations of Fig. 10.
+var fig10Scenarios = []fig10Scenario{
+	{name: "orig"},
+	{name: "HT", opts: []platform.Option{platform.WithSMTFactor(0.5)}},
+	{name: "L1d", opts: []platform.Option{platform.WithSMTFactor(0.8),
+		platform.WithPrivateCacheScale(0.5, 1)}},
+	{name: "L2", opts: []platform.Option{platform.WithSMTFactor(0.8),
+		platform.WithPrivateCacheScale(1, 0.5)}},
+	{name: "LLC", stress: func(env *Env) { interfere.StartLLCStressor(env.Server, 4, platform.A().LLCKB<<10) }},
+	{name: "Net", stress: func(env *Env) { interfere.StartNetStressor(env.Server, env.Client, 5201, 1<<20) }},
 }
 
 // RunFig10 reproduces Fig. 10: NGINX under hyperthread, L1d, L2, LLC and
@@ -42,83 +52,28 @@ type fig10Scenario struct {
 // produced from an interference-free profile — the paper's point is that it
 // inherits interference sensitivity without being profiled under it. One
 // prep cell clones NGINX; each scenario × variant is an independent cell.
+// Under Options.Sampled the rotating executed sample still sees the
+// stressors' cache pollution, so the drawn distribution tracks the
+// interfered regime.
 func RunFig10(w io.Writer, opt Options) Fig10Result {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
+	f := newFigure("fig10", opt)
+	t := f.appTarget(runner.Key("fig10", "clone"), appCases(f.opt.Seed)[1]) // nginx
+	f.p.Barrier()
+	emit := func(w io.Writer, fr Fig10Row) {
+		row(w, "fig10: %-5s %-9s ipc=%.3f p99=%.3f l1i=%.4f l1d=%.4f l2=%.4f llc=%.4f",
+			fr.Scenario, fr.Variant, fr.IPC, fr.P99Ms, fr.L1iMiss, fr.L1dMiss, fr.L2Miss, fr.LLCMiss)
 	}
-	c := appCases(opt.Seed)[1] // nginx
-
-	scenarios := []fig10Scenario{
-		{name: "orig"},
-		{name: "HT", opts: []platform.Option{platform.WithSMTFactor(0.5)}},
-		{name: "L1d", opts: []platform.Option{platform.WithSMTFactor(0.8),
-			platform.WithPrivateCacheScale(0.5, 1)}},
-		{name: "L2", opts: []platform.Option{platform.WithSMTFactor(0.8),
-			platform.WithPrivateCacheScale(1, 0.5)}},
-		{name: "LLC", llc: true},
-		{name: "Net", net: true},
-	}
-
-	p := runner.NewPlan()
-	var (
-		load Load
-		spec *core.SynthSpec
-	)
-	p.AddPrep(runner.Key("fig10", "clone"), func(io.Writer) (any, error) {
-		capacity := probeCapacity(c, opt.Windows, opt.Seed, opt.Sampled)
-		load = Load{QPS: 0.5 * capacity, Conns: 16, Seed: opt.Seed}
-		_, spec = cloneApp(c.build, load, opt.Windows, c.maxDWS, opt.TuneIters, opt.Seed+71, opt.Sampled)
-		return nil, nil
-	})
-	p.Barrier()
-
-	runner.Grid2(p, scenarios, fig5Variants,
-		func(sc fig10Scenario, v string) string { return runner.Key("fig10", sc.name, v) },
-		func(sc fig10Scenario, v string, cw io.Writer) (any, error) {
-			opts := append([]platform.Option{platform.WithCoreCount(6)}, sc.opts...)
-			env := NewEnvW(opt.IntraParallel, platform.A(), opts...)
-			if opt.Sampled {
-				// The rotating executed sample still sees the stressors'
-				// cache pollution, so the drawn distribution tracks the
-				// interfered regime.
-				env.EnableSampling(load.Seed)
-			}
-			var a app.App
-			if v == "actual" {
-				a = c.build(env.Server)
-			} else {
-				a = synth.NewServer(env.Server, c.port, spec, opt.Seed+73)
-			}
-			a.Start()
-			if sc.llc {
-				interfere.StartLLCStressor(env.Server, 4, platform.A().LLCKB<<10)
-			}
-			if sc.net {
-				interfere.StartNetStressor(env.Server, env.Client, 5201, 1<<20)
-			}
-			r := Measure(env, a, load, opt.Windows)
-			env.Shutdown()
-			fr := Fig10Row{Scenario: sc.name, Variant: v,
-				IPC: r.Metrics.IPC, P99Ms: r.P99Ms,
-				L1iMiss: r.Metrics.L1iMiss, L1dMiss: r.Metrics.L1dMiss,
-				L2Miss: r.Metrics.L2Miss, LLCMiss: r.Metrics.L3Miss}
-			if !opt.Quiet {
-				row(cw, "fig10: %-5s %-9s ipc=%.3f p99=%.3f l1i=%.4f l1d=%.4f l2=%.4f llc=%.4f",
-					fr.Scenario, fr.Variant, fr.IPC, fr.P99Ms, fr.L1iMiss, fr.L1dMiss,
-					fr.L2Miss, fr.LLCMiss)
-			}
-			return fr, nil
-		})
-
-	var res Fig10Result
-	results := runPlan(w, p, opt, "fig10: scenario variant ipc p99 l1i l1d l2 llc")
-	if results == nil {
-		return res
-	}
-	for _, r := range results {
-		if fr, ok := r.Value.(Fig10Row); ok {
-			res.Rows = append(res.Rows, fr)
+	for _, sc := range fig10Scenarios {
+		var cells []cellSpec
+		for _, v := range variants {
+			cells = append(cells, cellSpec{key: runner.Key("fig10", sc.name, v), variant: v, tgt: t,
+				plat: platform.A(), cores: 6, opts: sc.opts, load: "medium", win: f.opt.Windows, extra: sc.stress})
 		}
+		addCells(f, cells, func(c cellSpec, out cellOut) []Fig10Row {
+			r := out.Result
+			return []Fig10Row{{Scenario: sc.name, Variant: c.variant, IPC: r.Metrics.IPC, P99Ms: r.P99Ms,
+				L1iMiss: r.Metrics.L1iMiss, L1dMiss: r.Metrics.L1dMiss, L2Miss: r.Metrics.L2Miss, LLCMiss: r.Metrics.L3Miss}}
+		}, emit)
 	}
-	return res
+	return Fig10Result{Rows: rowsOf[Fig10Row](f.run(w, "fig10: scenario variant ipc p99 l1i l1d l2 llc"))}
 }

@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"ditto/internal/app"
-	"ditto/internal/core"
 	"ditto/internal/platform"
 	"ditto/internal/runner"
-	"ditto/internal/synth"
 )
 
 // Fig11Cell is one (cores, frequency) cell of the power-management heatmap:
@@ -34,9 +32,7 @@ type Fig11Result struct {
 // repository's widest plan — every (cores, freq, variant) point is an
 // independent cell, so it scales across all available host cores.
 func RunFig11(w io.Writer, opt Options, cores []int, freqs []float64) Fig11Result {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
-	}
+	f := newFigure("fig11", opt)
 	if len(cores) == 0 {
 		cores = []int{4, 6, 8, 10, 12, 14, 16}
 	}
@@ -45,64 +41,52 @@ func RunFig11(w io.Writer, opt Options, cores []int, freqs []float64) Fig11Resul
 	}
 	const qosMs = 1.0
 
-	build := func(m *platform.Machine) app.App {
-		return app.NewMemcachedN(m, 11211, 16, opt.Seed+81)
-	}
-
-	p := runner.NewPlan()
-	var (
-		qps  float64
-		spec *core.SynthSpec
-	)
-	p.AddPrep(runner.Key("fig11", "clone"), func(io.Writer) (any, error) {
+	t := newTarget("memcached", "fig11", map[string]Load{"capacity": {Conns: 32, Seed: f.opt.Seed}})
+	appSeed := f.opt.Seed + t.seeds.app
+	c := appCase{name: t.name, open: true, port: 11211, maxDWS: 128 << 20,
+		build: func(m *platform.Machine) app.App { return app.NewMemcachedN(m, 11211, 16, appSeed) }}
+	t.app = &c
+	var qps float64
+	f.p.AddPrep(runner.Key("fig11", "clone"), func(io.Writer) (any, error) {
 		// Capacity at the best configuration sets the fixed offered load.
-		capRes := measureApp(platform.A(),
-			[]platform.Option{platform.WithCoreCount(16), platform.WithFreqGHz(2.1)},
-			build, Load{Conns: 32, Seed: opt.Seed}, opt.Windows, opt.IntraParallel, opt.Sampled)
+		capRes := f.opt.runCell(cellSpec{variant: "actual", tgt: t, plat: platform.A(), cores: 16,
+			opts: []platform.Option{platform.WithFreqGHz(2.1)}, load: "capacity", win: f.opt.Windows})
 		qps = capRes.Throughput * 0.45
-		_, spec = cloneApp(build, Load{QPS: qps, Conns: 16, Seed: opt.Seed},
-			opt.Windows, 128<<20, opt.TuneIters, opt.Seed+83, opt.Sampled)
+		t.loads["qos"] = Load{QPS: qps, Conns: 16, Seed: f.opt.Seed}
+		_, t.spec = cloneApp(c.build, t.loads["qos"], f.opt.Windows, c.maxDWS, f.opt.TuneIters, f.opt.Seed+t.seeds.clone, f.opt.Sampled)
 		return nil, nil
 	})
-	p.Barrier()
+	f.p.Barrier()
 
-	runner.Grid3(p, cores, freqs, fig5Variants,
-		func(nc int, f float64, v string) string {
-			return runner.Key("fig11", fmt.Sprintf("c%d", nc), fmt.Sprintf("f%.1f", f), v)
-		},
-		func(nc int, f float64, v string, cw io.Writer) (any, error) {
-			b := build
-			if v == "synthetic" {
-				b = func(m *platform.Machine) app.App {
-					return synth.NewServer(m, 11211, spec, opt.Seed+85)
-				}
+	emit := func(w io.Writer, cell Fig11Cell) {
+		mark := "ok"
+		if !cell.MeetQoS {
+			mark = "X"
+		}
+		row(w, "fig11: cores=%-2d freq=%.1f %-9s p99=%.3f %s",
+			cell.Cores, cell.FreqGHz, cell.Variant, cell.P99Ms, mark)
+	}
+	for _, nc := range cores {
+		for _, fr := range freqs {
+			var cells []cellSpec
+			for _, v := range variants {
+				cells = append(cells, cellSpec{key: runner.Key("fig11", fmt.Sprintf("c%d", nc), fmt.Sprintf("f%.1f", fr), v),
+					variant: v, tgt: t, plat: platform.A(), cores: nc, opts: []platform.Option{platform.WithFreqGHz(fr)},
+					load: "qos", win: f.opt.Windows})
 			}
-			r := measureApp(platform.A(),
-				[]platform.Option{platform.WithCoreCount(nc), platform.WithFreqGHz(f)},
-				b, Load{QPS: qps, Conns: 16, Seed: opt.Seed}, opt.Windows, opt.IntraParallel, opt.Sampled)
-			cell := Fig11Cell{Cores: nc, FreqGHz: f, Variant: v,
-				P99Ms: r.P99Ms, MeetQoS: r.P99Ms <= qosMs && r.P99Ms > 0}
-			if !opt.Quiet {
-				mark := "ok"
-				if !cell.MeetQoS {
-					mark = "X"
-				}
-				row(cw, "fig11: cores=%-2d freq=%.1f %-9s p99=%.3f %s",
-					cell.Cores, cell.FreqGHz, cell.Variant, cell.P99Ms, mark)
-			}
-			return cell, nil
-		})
+			addCells(f, cells, func(c cellSpec, out cellOut) []Fig11Cell {
+				return []Fig11Cell{{Cores: nc, FreqGHz: fr, Variant: c.variant,
+					P99Ms: out.P99Ms, MeetQoS: out.P99Ms <= qosMs && out.P99Ms > 0}}
+			}, emit)
+		}
+	}
 
 	res := Fig11Result{QoSMs: qosMs}
-	results := runPlan(w, p, opt, "fig11: cores freq variant p99 meetsQoS (QoS=1ms)")
+	results := f.run(w, "fig11: cores freq variant p99 meetsQoS (QoS=1ms)")
 	if results == nil {
 		return res
 	}
 	res.QPS = qps
-	for _, r := range results {
-		if cell, ok := r.Value.(Fig11Cell); ok {
-			res.Cells = append(res.Cells, cell)
-		}
-	}
+	res.Cells = rowsOf[Fig11Cell](results)
 	return res
 }

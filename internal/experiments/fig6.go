@@ -29,58 +29,32 @@ type Fig6Result struct {
 // replaced by its Ditto clone, across a QPS sweep. One prep cell clones the
 // deployment; each (qps, variant) point is then an independent cell.
 func RunFig6(w io.Writer, opt Options, qpsLevels []float64) Fig6Result {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
-	}
-	opt.Windows = socialWindows(opt.Windows)
+	f := newFigure("fig6", opt)
+	win := socialWindows(f.opt.Windows)
 	if len(qpsLevels) == 0 {
 		qpsLevels = []float64{200, 500, 1000, 1500, 2000}
 	}
-	nodes := snNodes(opt)
-
-	p := runner.NewPlan()
-	var clone *SNClone
-	p.AddPrep(runner.Key("fig6", "clone"), func(io.Writer) (any, error) {
-		profLoad := Load{QPS: qpsLevels[len(qpsLevels)/2], Conns: 16, Mix: SNMix(), Seed: opt.Seed}
-		clone = CloneSN(platform.A(), nodes, 8, profLoad, opt.Windows, opt.Seed+11)
-		return nil, nil
-	})
-	p.Barrier()
-	runner.Grid2(p, qpsLevels, fig5Variants,
-		func(qps float64, v string) string {
-			return runner.Key("fig6", fmt.Sprintf("qps%.0f", qps), v)
-		},
-		func(qps float64, v string, cw io.Writer) (any, error) {
-			load := Load{QPS: qps, Conns: 16, Mix: SNMix(), Seed: opt.Seed}
-			var d *SNEnv
-			if v == "actual" {
-				d = NewOriginalSN(platform.A(), nodes, 8, opt.Seed+11, opt.IntraParallel)
-			} else {
-				d = NewSynthSN(clone, platform.A(), nodes, 8, opt.Seed+12, opt.IntraParallel)
-			}
-			if opt.Sampled {
-				d.Env.EnableSampling(load.Seed)
-			}
-			e2e, _ := MeasureSN(d, load, opt.Windows, nil)
-			d.Env.Shutdown()
-			pt := Fig6Point{QPS: qps, Variant: v, P50Ms: e2e.P50Ms,
-				P95Ms: e2e.P95Ms, P99Ms: e2e.P99Ms, Tput: e2e.Throughput}
-			if !opt.Quiet {
-				row(cw, "fig6: qps=%-6.0f %-9s p50=%.3f p95=%.3f p99=%.3f tput=%.0f",
-					pt.QPS, pt.Variant, pt.P50Ms, pt.P95Ms, pt.P99Ms, pt.Tput)
-			}
-			return pt, nil
-		})
-
-	var res Fig6Result
-	results := runPlan(w, p, opt, "fig6: qps variant p50 p95 p99 tput")
-	if results == nil {
-		return res
+	sn := newTarget("social", "fig6", map[string]Load{})
+	names := make([]string, len(qpsLevels))
+	for i, qps := range qpsLevels {
+		names[i] = fmt.Sprintf("qps%.0f", qps)
+		sn.loads[names[i]] = Load{QPS: qps, Conns: 16, Mix: SNMix(), Seed: f.opt.Seed}
 	}
-	for _, r := range results {
-		if pt, ok := r.Value.(Fig6Point); ok {
-			res.Points = append(res.Points, pt)
+	f.multiTarget(runner.Key("fig6", "clone"), sn, names[len(names)/2], win)
+	f.p.Barrier()
+	var cells []cellSpec
+	for _, n := range names {
+		for _, v := range variants {
+			cells = append(cells, cellSpec{key: runner.Key("fig6", n, v), variant: v, tgt: sn,
+				plat: platform.A(), cores: 8, nodes: snNodes, load: n, win: win})
 		}
 	}
-	return res
+	addCells(f, cells, func(c cellSpec, out cellOut) []Fig6Point {
+		return []Fig6Point{{QPS: sn.loads[c.load].QPS, Variant: c.variant, P50Ms: out.P50Ms,
+			P95Ms: out.P95Ms, P99Ms: out.P99Ms, Tput: out.Throughput}}
+	}, func(w io.Writer, pt Fig6Point) {
+		row(w, "fig6: qps=%-6.0f %-9s p50=%.3f p95=%.3f p99=%.3f tput=%.0f",
+			pt.QPS, pt.Variant, pt.P50Ms, pt.P95Ms, pt.P99Ms, pt.Tput)
+	})
+	return Fig6Result{Points: rowsOf[Fig6Point](f.run(w, "fig6: qps variant p50 p95 p99 tput"))}
 }

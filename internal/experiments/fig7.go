@@ -3,12 +3,9 @@ package experiments
 import (
 	"io"
 
-	"ditto/internal/app"
-	"ditto/internal/core"
 	"ditto/internal/platform"
 	"ditto/internal/profile"
 	"ditto/internal/runner"
-	"ditto/internal/synth"
 )
 
 // Fig7Row is one (app, platform, variant) measurement of the
@@ -38,136 +35,58 @@ func fig7CoreCount(spec platform.Spec) int {
 	return 8
 }
 
+// fig7SocialDeploys are the two Social Network deployments the paper
+// highlights: the two-node Platform A reference and the small-scale
+// Platform C where every tier is colocated on one four-core box (high LLC
+// interference).
+var fig7SocialDeploys = []struct {
+	spec  platform.Spec
+	nodes int
+	cores int
+}{
+	{platform.A(), 2, 8},
+	{platform.C(), 1, 4},
+}
+
 // RunFig7 reproduces Fig. 7: each app is cloned from a Platform A profile,
 // then original and synthetic run side by side on Platforms A, B and C
 // without reprofiling. Prep cells clone per app; each (platform, variant)
 // pair is an independent measurement cell.
 func RunFig7(w io.Writer, opt Options) Fig7Result {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
-	}
-	platforms := []platform.Spec{platform.A(), platform.B(), platform.C()}
-	apps := filteredAppCases(opt)
-
-	type fig7Prep struct {
-		clonePrep
-		spec *core.SynthSpec
-	}
-	p := runner.NewPlan()
-	preps := map[string]*fig7Prep{}
-	for _, c := range apps {
-		c := c
-		pr := &fig7Prep{}
-		preps[c.name] = pr
-		p.AddPrep(runner.Key("fig7", c.name, "clone"), func(io.Writer) (any, error) {
-			pr.clonePrep = prepLevels(c, opt)
-			_, pr.spec = cloneApp(c.build, mediumOf(pr.levels), opt.Windows, c.maxDWS, opt.TuneIters, opt.Seed+23, opt.Sampled)
-			return nil, nil
-		})
-	}
-	var snClone *SNClone
-	snLoad := Load{QPS: 300, Conns: 12, Mix: SNMix(), Seed: opt.Seed}
-	snWin := socialWindows(opt.Windows)
-	if opt.IncludeSocial {
-		p.AddPrep(runner.Key("fig7", "social", "clone"), func(io.Writer) (any, error) {
-			snClone = CloneSN(platform.A(), 2, 8, snLoad, snWin, opt.Seed+53)
-			return nil, nil
-		})
-	}
-	p.Barrier()
-
-	for _, c := range apps {
-		c := c
-		pr := preps[c.name]
-		runner.Grid2(p, platforms, fig5Variants,
-			func(plat platform.Spec, v string) string {
-				return runner.Key("fig7", c.name, plat.Name, v)
-			},
-			func(plat platform.Spec, v string, cw io.Writer) (any, error) {
-				load := mediumOf(pr.levels)
-				if c.open {
-					// Keep offered load sustainable on the weakest platform.
-					load.QPS = pr.capacity * 0.3
-				}
-				build := c.build
-				if v == "synthetic" {
-					build = func(m *platform.Machine) app.App {
-						return synth.NewServer(m, c.port, pr.spec, opt.Seed+29)
-					}
-				}
-				r := measureApp(plat, []platform.Option{platform.WithCoreCount(fig7CoreCount(plat))},
-					build, load, opt.Windows, opt.IntraParallel, opt.Sampled)
-				fr := Fig7Row{App: c.name, Platform: plat.Name, Variant: v,
-					Metrics: r.Metrics, NetBW: r.NetBW, DiskBW: r.DiskBW,
-					AvgMs: r.AvgMs, P99Ms: r.P99Ms}
-				emitFig7(cw, opt, fr)
-				return fr, nil
-			})
-	}
-
-	// The two Social Network deployments the paper highlights: the two-node
-	// Platform A reference and the small-scale Platform C where every tier
-	// is colocated on one four-core box (high LLC interference).
-	snDeploys := []struct {
-		spec  platform.Spec
-		nodes int
-		cores int
-	}{
-		{platform.A(), 2, 8},
-		{platform.C(), 1, 4},
-	}
-	if opt.IncludeSocial {
-		for _, d := range snDeploys {
-			d := d
-			for _, v := range fig5Variants {
-				v := v
-				p.Add(runner.Key("fig7", "social", d.spec.Name, v), func(cw io.Writer) (any, error) {
-					var dep *SNEnv
-					if v == "actual" {
-						dep = NewOriginalSN(d.spec, d.nodes, d.cores, opt.Seed+53, opt.IntraParallel)
-					} else {
-						dep = NewSynthSN(snClone, d.spec, d.nodes, d.cores, opt.Seed+54, opt.IntraParallel)
-					}
-					if opt.Sampled {
-						dep.Env.EnableSampling(snLoad.Seed)
-					}
-					_, per := MeasureSN(dep, snLoad, snWin, fig5SocialTiers)
-					dep.Env.Shutdown()
-					rows := make([]Fig7Row, 0, len(fig5SocialTiers))
-					for _, tn := range fig5SocialTiers {
-						r := per[tn]
-						fr := Fig7Row{App: tn, Platform: d.spec.Name, Variant: v,
-							Metrics: r.Metrics, NetBW: r.NetBW, DiskBW: r.DiskBW}
-						rows = append(rows, fr)
-						emitFig7(cw, opt, fr)
-					}
-					return rows, nil
-				})
+	f := newFigure("fig7", opt)
+	var cells []cellSpec
+	for _, t := range f.appTargets() {
+		for _, plat := range []platform.Spec{platform.A(), platform.B(), platform.C()} {
+			for _, v := range variants {
+				cells = append(cells, cellSpec{key: runner.Key("fig7", t.name, plat.Name, v), variant: v, tgt: t,
+					plat: plat, cores: fig7CoreCount(plat), load: "cross", win: f.opt.Windows})
 			}
 		}
 	}
-
-	var res Fig7Result
-	results := runPlan(w, p, opt,
-		"fig7: app platform variant ipc branchmiss l1i l1d l2 llc netBW diskBW avg p99")
-	if results == nil {
-		return res
-	}
-	for _, r := range results {
-		switch v := r.Value.(type) {
-		case Fig7Row:
-			res.Rows = append(res.Rows, v)
-		case []Fig7Row:
-			res.Rows = append(res.Rows, v...)
+	if f.opt.IncludeSocial {
+		sn := f.socialTarget(map[string]Load{"medium": {QPS: 300, Conns: 12, Mix: SNMix(), Seed: f.opt.Seed}})
+		for _, d := range fig7SocialDeploys {
+			for _, v := range variants {
+				cells = append(cells, cellSpec{key: runner.Key("fig7", "social", d.spec.Name, v), variant: v, tgt: sn,
+					plat: d.spec, cores: d.cores, nodes: d.nodes, load: "medium", win: socialWindows(f.opt.Windows), tiers: fig5SocialTiers})
+			}
 		}
 	}
-	return res
+	f.p.Barrier()
+	addCells(f, cells, func(c cellSpec, out cellOut) []Fig7Row {
+		return byTier(c, out, func(name string, r Result) Fig7Row {
+			fr := Fig7Row{App: name, Platform: c.plat.Name, Variant: c.variant, Metrics: r.Metrics, NetBW: r.NetBW, DiskBW: r.DiskBW}
+			if out.tiers == nil { // per-tier rows leave latency out
+				fr.AvgMs, fr.P99Ms = r.AvgMs, r.P99Ms
+			}
+			return fr
+		})
+	}, emitFig7)
+	results := f.run(w, "fig7: app platform variant ipc branchmiss l1i l1d l2 llc netBW diskBW avg p99")
+	return Fig7Result{Rows: rowsOf[Fig7Row](results)}
 }
 
-func emitFig7(w io.Writer, opt Options, fr Fig7Row) {
-	if opt.Quiet {
-		return
-	}
+func emitFig7(w io.Writer, fr Fig7Row) {
 	row(w, "fig7: %-20s %-2s %-9s ipc=%.3f br=%.4f l1i=%.4f l1d=%.4f l2=%.4f llc=%.4f net=%.3e disk=%.3e avg=%.3f p99=%.3f",
 		fr.App, fr.Platform, fr.Variant, fr.Metrics.IPC, fr.Metrics.BranchMiss,
 		fr.Metrics.L1iMiss, fr.Metrics.L1dMiss, fr.Metrics.L2Miss,

@@ -3,12 +3,10 @@ package experiments
 import (
 	"io"
 
-	"ditto/internal/app"
 	"ditto/internal/core"
 	"ditto/internal/platform"
 	"ditto/internal/profile"
 	"ditto/internal/runner"
-	"ditto/internal/synth"
 )
 
 // Fig9Row is one decomposition stage's measurement for MongoDB: how IPC,
@@ -33,72 +31,52 @@ type Fig9Result struct {
 // tuning. The profiling run is the single prep cell; the target line and
 // every stage then measure as independent cells.
 func RunFig9(w io.Writer, opt Options) Fig9Result {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
+	f := newFigure("fig9", opt)
+	t := newTarget("mongodb", "fig9", map[string]Load{"": {Conns: 8, Seed: f.opt.Seed}})
+	c := appCases(f.opt.Seed)[2] // mongodb
+	t.app = &c
+	cell := func(v string) cellSpec {
+		return cellSpec{variant: v, tgt: t, plat: platform.A(), cores: 8, win: f.opt.Windows}
 	}
-	c := appCases(opt.Seed)[2] // mongodb
-	load := Load{Conns: 8, Seed: opt.Seed}
-
-	emit := func(cw io.Writer, fr Fig9Row) {
-		if !opt.Quiet {
-			row(cw, "fig9: %-11s ipc=%.3f instrs/req=%.0f cycles/req=%.0f p99=%.3f",
-				fr.Stage, fr.IPC, fr.Instrs, fr.Cycles, fr.P99Ms)
-		}
+	emit := func(w io.Writer, fr Fig9Row) {
+		row(w, "fig9: %-11s ipc=%.3f instrs/req=%.0f cycles/req=%.0f p99=%.3f",
+			fr.Stage, fr.IPC, fr.Instrs, fr.Cycles, fr.P99Ms)
 	}
 	var prof *profile.AppProfile
-	p := runner.NewPlan()
-	p.AddPrep(runner.Key("fig9", "profile"), func(io.Writer) (any, error) {
-		prof = profileRun(c.build, load, opt.Windows, c.maxDWS, opt.Sampled)
+	f.p.AddPrep(runner.Key("fig9", "profile"), func(io.Writer) (any, error) {
+		prof = profileRun(c.build, t.loads[""], f.opt.Windows, c.maxDWS, f.opt.Sampled)
 		return nil, nil
 	})
-	p.Add(runner.Key("fig9", "target"), func(cw io.Writer) (any, error) {
-		r := measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)},
-			c.build, load, opt.Windows, opt.IntraParallel, opt.Sampled)
-		fr := fig9Of("target", r, opt.Windows)
-		emit(cw, fr)
-		return fr, nil
-	})
-	p.Barrier()
+	addCell(f, runner.Key("fig9", "target"), func() []Fig9Row {
+		return []Fig9Row{fig9Of("target", f.opt.runCell(cell("actual")).Result, f.opt.Windows)}
+	}, emit)
+	f.p.Barrier()
 
-	var stages []core.Stage
 	for st := core.StageSkeleton; st <= core.StageTune; st++ {
-		stages = append(stages, st)
-	}
-	for _, st := range stages {
-		st := st
-		p.Add(runner.Key("fig9", "stage", st.String()), func(cw io.Writer) (any, error) {
-			var spec *core.SynthSpec
+		addCell(f, runner.Key("fig9", "stage", st.String()), func() []Fig9Row {
+			seed := f.opt.Seed + t.seeds.clone
+			stage := *t
 			if st == core.StageTune {
-				iters := opt.TuneIters
+				iters := f.opt.TuneIters
 				if iters <= 0 {
 					iters = 3
 				}
-				spec, _ = core.FineTune(prof, opt.Seed+60, SynthRunner(load, opt.Windows), iters, 0.05)
+				stage.spec, _ = core.FineTune(prof, seed, SynthRunner(t.loads[""], f.opt.Windows), iters, 0.05)
 			} else {
-				spec = core.GenerateStaged(prof, st, opt.Seed+60)
+				stage.spec = core.GenerateStaged(prof, st, seed)
 			}
-			r := measureApp(platform.A(), []platform.Option{platform.WithCoreCount(8)},
-				func(m *platform.Machine) app.App {
-					return synth.NewServer(m, c.port, spec, opt.Seed+61)
-				}, load, opt.Windows, opt.IntraParallel, opt.Sampled)
-			fr := fig9Of(st.String(), r, opt.Windows)
-			emit(cw, fr)
-			return fr, nil
-		})
+			cs := cell("synthetic")
+			cs.tgt = &stage
+			return []Fig9Row{fig9Of(st.String(), f.opt.runCell(cs).Result, f.opt.Windows)}
+		}, emit)
 	}
 
 	var res Fig9Result
-	results := runPlan(w, p, opt, "fig9: stage ipc instrs cycles p99 (target from actual MongoDB)")
-	if results == nil {
-		return res
-	}
-	values := resultMap(results)
-	if fr, ok := values[runner.Key("fig9", "target")].(Fig9Row); ok {
-		res.Target = fr
-	}
-	for _, st := range stages {
-		if fr, ok := values[runner.Key("fig9", "stage", st.String())].(Fig9Row); ok {
-			res.Rows = append(res.Rows, fr)
+	for _, r := range rowsOf[Fig9Row](f.run(w, "fig9: stage ipc instrs cycles p99 (target from actual MongoDB)")) {
+		if r.Stage == "target" {
+			res.Target = r
+		} else {
+			res.Rows = append(res.Rows, r)
 		}
 	}
 	return res

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 
 	"ditto/internal/app"
 	"ditto/internal/fault"
-	"ditto/internal/loadgen"
 	"ditto/internal/platform"
 	"ditto/internal/runner"
 	"ditto/internal/sim"
@@ -31,68 +31,51 @@ type FigFResult struct {
 	Points []FigFPoint
 }
 
-// figFScenario is one declarative fault scenario. Events are built against
-// the deployment (so targets resolve by logical tier name on original and
-// clone alike) and the windows (so fault times scale with the measurement).
+// figFScenario is one declarative fault scenario. Event times count eighths
+// of the measurement window after warmup, so fault times scale with the
+// window; targets are logical tier names, so one scenario addresses
+// original and clone alike.
 type figFScenario struct {
-	name  string
-	build func(d *SNEnv, win Windows) []fault.Event
+	name   string
+	events []fault.Event
 }
 
-// figFScenarios returns the scenario table (EXPERIMENTS.md documents it).
-// All faults start at measure/8 into the window; recovery points differ so
-// the tail of every window observes the healed system.
-func figFScenarios() []figFScenario {
-	at := func(win Windows, num, den sim.Time) sim.Time {
-		return win.Warmup + win.Measure*num/den
-	}
-	return []figFScenario{
-		{"baseline", func(d *SNEnv, win Windows) []fault.Event { return nil }},
-		{"crash-cache", func(d *SNEnv, win Windows) []fault.Event {
-			return []fault.Event{
-				{At: at(win, 1, 8), Op: fault.OpCrash, Tiers: []string{"post-storage-memcached"}},
-				{At: at(win, 1, 2), Op: fault.OpRestart, Tiers: []string{"post-storage-memcached"}},
-			}
-		}},
-		{"crash-logic", func(d *SNEnv, win Windows) []fault.Event {
-			return []fault.Event{
-				{At: at(win, 1, 8), Op: fault.OpCrash, Tiers: []string{"compose-post-service"}},
-				{At: at(win, 1, 2), Op: fault.OpRestart, Tiers: []string{"compose-post-service"}},
-			}
-		}},
-		{"partition", func(d *SNEnv, win Windows) []fault.Event {
-			// Machine-granular cut between the frontend's machine and the
-			// next machine in placement order — with round-robin placement
-			// this severs roughly half the deployment.
+// figFScenarios is the scenario table (EXPERIMENTS.md documents it). All
+// faults start at measure/8 into the window; recovery points differ so the
+// tail of every window observes the healed system.
+var figFScenarios = []figFScenario{
+	{"baseline", nil},
+	{"crash-cache", []fault.Event{
+		{At: 1, Op: fault.OpCrash, Tiers: []string{"post-storage-memcached"}},
+		{At: 4, Op: fault.OpRestart, Tiers: []string{"post-storage-memcached"}}}},
+	{"crash-logic", []fault.Event{
+		{At: 1, Op: fault.OpCrash, Tiers: []string{"compose-post-service"}},
+		{At: 4, Op: fault.OpRestart, Tiers: []string{"compose-post-service"}}}},
+	{"partition", []fault.Event{{At: 1, Op: fault.OpPartition}, {At: 4, Op: fault.OpHeal}}},
+	{"loss2", []fault.Event{{At: 1, Op: fault.OpLoss, Loss: 0.02}, {At: 6, Op: fault.OpHeal}}},
+	{"delay-spike", []fault.Event{{At: 1, Op: fault.OpDelay, Delay: 2 * sim.Millisecond}, {At: 4, Op: fault.OpHeal}}},
+	{"slow-replica", []fault.Event{
+		{At: 1, Op: fault.OpSlowCPU, Tiers: []string{"social-graph-service"}, Throttle: 0.35},
+		{At: 6, Op: fault.OpHeal}}},
+}
+
+// resolve places the scenario's events in the windows and on d. The
+// partition cuts the frontend's machine from the next machine in placement
+// order — with round-robin placement this severs roughly half the
+// deployment.
+func (sc figFScenario) resolve(d *Deployment, win Windows) []fault.Event {
+	var out []fault.Event
+	for _, ev := range sc.events {
+		ev.At = win.Warmup + win.Measure*ev.At/8
+		if ev.Op == fault.OpPartition {
 			if len(d.Order) < 2 {
 				return nil
 			}
-			return []fault.Event{
-				{At: at(win, 1, 8), Op: fault.OpPartition,
-					Tiers: []string{d.Order[0]}, TiersB: []string{d.Order[1]}},
-				{At: at(win, 1, 2), Op: fault.OpHeal},
-			}
-		}},
-		{"loss2", func(d *SNEnv, win Windows) []fault.Event {
-			return []fault.Event{
-				{At: at(win, 1, 8), Op: fault.OpLoss, Loss: 0.02},
-				{At: at(win, 3, 4), Op: fault.OpHeal},
-			}
-		}},
-		{"delay-spike", func(d *SNEnv, win Windows) []fault.Event {
-			return []fault.Event{
-				{At: at(win, 1, 8), Op: fault.OpDelay, Delay: 2 * sim.Millisecond},
-				{At: at(win, 1, 2), Op: fault.OpHeal},
-			}
-		}},
-		{"slow-replica", func(d *SNEnv, win Windows) []fault.Event {
-			return []fault.Event{
-				{At: at(win, 1, 8), Op: fault.OpSlowCPU,
-					Tiers: []string{"social-graph-service"}, Throttle: 0.35},
-				{At: at(win, 3, 4), Op: fault.OpHeal},
-			}
-		}},
+			ev.Tiers, ev.TiersB = []string{d.Order[0]}, []string{d.Order[1]}
+		}
+		out = append(out, ev)
 	}
+	return out
 }
 
 // figFPolicy is the RPC resilience policy every tier runs under in the
@@ -113,33 +96,23 @@ func figFPolicy() *app.Resilience {
 // linkSeed derives a deterministic per-cell loss-stream seed from the base
 // seed and the cell's scenario/variant names (FNV-1a over the key).
 func linkSeed(seed int64, parts ...string) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-	}
-	mix(fmt.Sprint(seed))
+	h := fnv.New64a()
+	fmt.Fprint(h, seed)
 	for _, p := range parts {
-		mix(p)
+		h.Write([]byte(p))
 	}
-	return h | 1
+	return h.Sum64() | 1
 }
 
 // measureSNFault deploys the fault plane over d, drives it, and measures
 // latency, goodput, and error rate over the post-warmup window.
-func measureSNFault(d *SNEnv, load Load, win Windows, sc figFScenario, seed uint64) FigFPoint {
+func measureSNFault(d *Deployment, load Load, win Windows, sc figFScenario, seed uint64) FigFPoint {
 	d.SetResilience(figFPolicy())
 	fabric := fault.Interpose(d.Env.Cluster, d.Machines, seed)
 	plane := fault.NewPlane(d.Env.Eng, fabric, d.Tiers)
-	plane.Schedule(fault.Scenario{Name: sc.name, Events: sc.build(d, win)})
+	plane.Schedule(fault.Scenario{Name: sc.name, Events: sc.resolve(d, win)})
 
-	g := loadgen.New(loadgen.Config{
-		Name: "wrk2", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
+	g := d.startClient(load)
 	d.Env.RunFor(win.Warmup)
 	g.Reset()
 	start := d.Env.Now()
@@ -169,56 +142,32 @@ func measureSNFault(d *SNEnv, load Load, win Windows, sc figFScenario, seed uint
 // (scenario, variant) point is an independent cell, so the report is
 // byte-identical at any -parallel width.
 func RunFigF(w io.Writer, opt Options, qps float64) FigFResult {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
-	}
-	opt.Windows = socialWindows(opt.Windows)
+	f := newFigure("figF", opt)
+	win := socialWindows(f.opt.Windows)
 	if qps <= 0 {
 		qps = 600
 	}
-	nodes := snNodes(opt)
-	scenarios := figFScenarios()
-
-	p := runner.NewPlan()
-	var clone *SNClone
-	p.AddPrep(runner.Key("figF", "clone"), func(io.Writer) (any, error) {
-		profLoad := Load{QPS: qps, Conns: 16, Mix: SNMix(), Seed: opt.Seed}
-		clone = CloneSN(platform.A(), nodes, 8, profLoad, opt.Windows, opt.Seed+11)
-		return nil, nil
-	})
-	p.Barrier()
-	runner.Grid2(p, scenarios, fig5Variants,
-		func(sc figFScenario, v string) string {
-			return runner.Key("figF", sc.name, v)
-		},
-		func(sc figFScenario, v string, cw io.Writer) (any, error) {
-			load := Load{QPS: qps, Conns: 16, Mix: SNMix(), Seed: opt.Seed}
-			var d *SNEnv
-			if v == "actual" {
-				d = NewOriginalSN(platform.A(), nodes, 8, opt.Seed+11, opt.IntraParallel)
-			} else {
-				d = NewSynthSN(clone, platform.A(), nodes, 8, opt.Seed+12, opt.IntraParallel)
-			}
-			pt := measureSNFault(d, load, opt.Windows, sc, linkSeed(opt.Seed, sc.name, v))
-			pt.Variant = v
-			d.Env.Shutdown()
-			if !opt.Quiet {
-				row(cw, "figF: %-12s %-9s p50=%.3f p95=%.3f p99=%.3f goodput=%.0f err=%.2f%% drops=%d",
-					pt.Scenario, pt.Variant, pt.P50Ms, pt.P95Ms, pt.P99Ms,
-					pt.Goodput, pt.ErrRate*100, pt.Dropped)
-			}
-			return pt, nil
-		})
-
-	var res FigFResult
-	results := runPlan(w, p, opt, "figF: scenario variant p50 p95 p99 goodput err% drops")
-	if results == nil {
-		return res
-	}
-	for _, r := range results {
-		if pt, ok := r.Value.(FigFPoint); ok {
-			res.Points = append(res.Points, pt)
+	sn := f.multiTarget(runner.Key("figF", "clone"), newTarget("social", "figF",
+		map[string]Load{"": {QPS: qps, Conns: 16, Mix: SNMix(), Seed: f.opt.Seed}}), "", win)
+	f.p.Barrier()
+	var cells []cellSpec
+	for _, sc := range figFScenarios {
+		for _, v := range variants {
+			cells = append(cells, cellSpec{key: runner.Key("figF", sc.name, v), variant: v, tgt: sn,
+				plat: platform.A(), cores: 8, nodes: snNodes, win: win, full: true,
+				measure: func(d *Deployment, load Load, win Windows) any {
+					return measureSNFault(d, load, win, sc, linkSeed(f.opt.Seed, sc.name, v))
+				}})
 		}
 	}
-	return res
+	addCells(f, cells, func(c cellSpec, out cellOut) []FigFPoint {
+		pt := out.point.(FigFPoint)
+		pt.Variant = c.variant
+		return []FigFPoint{pt}
+	}, func(w io.Writer, pt FigFPoint) {
+		row(w, "figF: %-12s %-9s p50=%.3f p95=%.3f p99=%.3f goodput=%.0f err=%.2f%% drops=%d",
+			pt.Scenario, pt.Variant, pt.P50Ms, pt.P95Ms, pt.P99Ms,
+			pt.Goodput, pt.ErrRate*100, pt.Dropped)
+	})
+	return FigFResult{Points: rowsOf[FigFPoint](f.run(w, "figF: scenario variant p50 p95 p99 goodput err% drops"))}
 }

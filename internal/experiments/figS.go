@@ -3,16 +3,9 @@ package experiments
 import (
 	"io"
 
-	"ditto/internal/app"
-	"ditto/internal/app/dittofs"
-	"ditto/internal/core"
-	"ditto/internal/dtrace"
-	"ditto/internal/kernel"
 	"ditto/internal/loadgen"
 	"ditto/internal/platform"
-	"ditto/internal/profile"
 	"ditto/internal/runner"
-	"ditto/internal/synth"
 )
 
 // FigSPoint is one (backend, variant) measurement of the storage-family
@@ -58,202 +51,6 @@ func fsLoad(qps float64, seed int64) Load {
 	return Load{QPS: qps, Conns: 12, Mix: loadgen.FSMix(), Seed: seed}
 }
 
-// FSEnv is a deployed DittoFS (original or synthetic) with its client.
-// Machines lists the server-side machines (adapter first, blob tier second
-// when present) so storage-side counters can be aggregated over exactly the
-// machines that serve requests.
-type FSEnv struct {
-	Env       *Env
-	Machines  []*platform.Machine
-	Frontend  *platform.Machine
-	Port      int
-	TierProc  func(name string) *kernel.Proc
-	Order     []string
-	Collector *dtrace.Collector
-	Service   *dittofs.Service // nil for the synthetic deployment
-}
-
-// NewOriginalFS deploys the original DittoFS with the given content backend:
-// the adapter on the environment's server machine and, for the blob backend,
-// the blob-store tier on its own machine (remote disk attribution). intra is
-// the intra-cell parallelism, as in NewOriginalSN.
-func NewOriginalFS(backend string, spec platform.Spec, seed int64, intra int) *FSEnv {
-	env := NewEnvW(intra, spec, platform.WithCoreCount(8))
-	machines := []*platform.Machine{env.Server}
-	var blobM *platform.Machine
-	if backend == "blob" {
-		blobM = env.AddMachine("blob", spec, platform.WithCoreCount(8))
-		machines = append(machines, blobM)
-	}
-	svc := dittofs.NewService(env.Server, blobM, 9300, dittofs.DefaultConfig(backend), seed)
-	collector := dtrace.NewCollector(1)
-	svc.Adapter.Collector = collector
-	order := []string{dittofs.AdapterName}
-	tiers := map[string]*app.Tier{dittofs.AdapterName: svc.Adapter}
-	if svc.Blob != nil {
-		svc.Blob.Collector = collector
-		order = append(order, dittofs.BlobName)
-		tiers[dittofs.BlobName] = svc.Blob
-	}
-	svc.Start()
-	return &FSEnv{Env: env, Machines: machines, Frontend: env.Server, Port: 9300,
-		TierProc: func(name string) *kernel.Proc {
-			if t := tiers[name]; t != nil {
-				return t.Proc()
-			}
-			return nil
-		},
-		Order:     order,
-		Collector: collector,
-		Service:   svc,
-	}
-}
-
-// MeasureFS drives the deployment with the FS mix and returns the
-// storage-side fidelity point measured over the post-warmup window.
-func MeasureFS(d *FSEnv, load Load, win Windows) FigSPoint {
-	g := loadgen.New(loadgen.Config{
-		Name: "fs-client", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.RunFor(win.Warmup)
-	g.Reset()
-
-	type kcSnap struct {
-		read, write  uint64
-		hits, misses uint64
-		fsyncs       uint64
-	}
-	before := make([]kcSnap, len(d.Machines))
-	for i, m := range d.Machines {
-		c := m.Disk.Counters()
-		h, ms := m.Kernel.PageCacheStats()
-		before[i] = kcSnap{read: c.ReadBytes, write: c.WriteBytes,
-			hits: h, misses: ms, fsyncs: m.Kernel.Fsyncs()}
-		// Fsync latency is measured over the window only: reset the
-		// recorder at the warmup edge.
-		m.Kernel.FsyncLatency().Reset()
-	}
-	start := d.Env.Now()
-	d.Env.RunFor(win.Measure)
-	dur := (d.Env.Now() - start).Seconds()
-
-	lat := g.Latency()
-	pt := FigSPoint{
-		P50Ms:      lat.Percentile(50),
-		P95Ms:      lat.Percentile(95),
-		P99Ms:      lat.Percentile(99),
-		Throughput: float64(g.Received()) / dur,
-	}
-	var read, write, hits, misses, fsyncs uint64
-	for i, m := range d.Machines {
-		c := m.Disk.Counters()
-		h, ms := m.Kernel.PageCacheStats()
-		read += c.ReadBytes - before[i].read
-		write += c.WriteBytes - before[i].write
-		hits += h - before[i].hits
-		misses += ms - before[i].misses
-		fsyncs += m.Kernel.Fsyncs() - before[i].fsyncs
-	}
-	pt.DiskReadBW = float64(read) / dur
-	pt.DiskWriteBW = float64(write) / dur
-	if hits+misses > 0 {
-		pt.PCHitRate = float64(hits) / float64(hits+misses)
-	}
-	pt.FsyncRate = float64(fsyncs) / dur
-	// The WAL commit path fsyncs on the adapter machine — Machines[0] in
-	// both deployments.
-	fl := d.Machines[0].Kernel.FsyncLatency()
-	pt.FsyncMeanMs = fl.Mean()
-	pt.FsyncP99Ms = fl.Percentile(99)
-	return pt
-}
-
-// CloneFS profiles a running original DittoFS deployment under load and
-// generates the synthetic specs for every tier — the §4 pipeline applied to
-// the storage family. The learned topology carries the adapter→blob edge
-// for the blob backend; the profiled syscall plans carry the WAL appends,
-// fsyncs, and content-store traffic.
-func CloneFS(backend string, spec platform.Spec, load Load, win Windows, seed int64) *SNClone {
-	d := NewOriginalFS(backend, spec, seed, 0)
-	profilers := map[string]*profile.Profiler{}
-	for _, name := range d.Order {
-		p := profile.NewProfiler(name)
-		p.MaxDataWS = 64 << 20
-		p.MaxInstrWS = 256 << 10
-		p.Attach(d.TierProc(name))
-		profilers[name] = p
-	}
-	g := loadgen.New(loadgen.Config{
-		Name: "fs-client", Machine: d.Env.Client, Target: d.Frontend.Kernel,
-		Port: d.Port, Conns: load.Conns, QPS: load.QPS, Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	d.Env.RunFor(win.Warmup + win.Measure)
-
-	spans := d.Collector.Spans()
-	plans := core.LearnTopology(spans)
-	spanCount := map[string]int{}
-	for _, s := range spans {
-		spanCount[s.Service]++
-	}
-
-	clone := &SNClone{
-		Profiles: map[string]*profile.AppProfile{},
-		Specs:    map[string]*core.SynthSpec{},
-		Plans:    plans,
-		Order:    append([]string(nil), d.Order...),
-		Root:     dittofs.AdapterName,
-	}
-	for i, name := range clone.Order {
-		p := profilers[name]
-		if n := spanCount[name]; n > 0 {
-			p.SetRequests(n)
-		}
-		prof := p.Finish()
-		clone.Profiles[name] = prof
-		clone.Specs[name] = core.Generate(prof, seed+int64(i)*31)
-		if plans[name] == nil {
-			plans[name] = &core.TierPlan{Service: name, Calls: map[int][]app.Call{}}
-		}
-	}
-	d.Env.Shutdown()
-	return clone
-}
-
-// NewSynthFS deploys the synthetic DittoFS from a clone: the adapter stand-in
-// on the server machine and, when the clone has a blob tier, its stand-in on
-// a second machine — the same placement as the original.
-func NewSynthFS(clone *SNClone, spec platform.Spec, seed int64, intra int) *FSEnv {
-	env := NewEnvW(intra, spec, platform.WithCoreCount(8))
-	machines := []*platform.Machine{env.Server}
-	if len(clone.Order) > 1 {
-		machines = append(machines, env.AddMachine("sblob", spec, platform.WithCoreCount(8)))
-	}
-	reg := &synthRegistry{tiers: map[string]*app.Tier{}}
-	procs := map[string]*kernel.Proc{}
-	collector := dtrace.NewCollector(1)
-	for i, name := range clone.Order {
-		m := machines[i%len(machines)]
-		t := synth.NewTier(m, 9500+i, clone.Specs[name], clone.Plans[name], reg, seed+int64(i))
-		t.Collector = collector
-		reg.tiers[name] = t
-		procs[name] = t.Proc()
-	}
-	// Start in construction order: spawn order is part of determinism.
-	for _, name := range clone.Order {
-		reg.tiers[name].Start()
-	}
-	fe := reg.tiers[clone.Root]
-	return &FSEnv{Env: env, Machines: machines,
-		Frontend: fe.Machine(), Port: fe.Cfg.Port,
-		TierProc:  func(name string) *kernel.Proc { return procs[name] },
-		Order:     append([]string(nil), clone.Order...),
-		Collector: collector,
-	}
-}
-
 // RunFigS measures clone fidelity for the storage-bound family: each DittoFS
 // content backend (mem, lsm, blob) is profiled, cloned, and then original
 // and clone are measured under the same NFS-style mix, comparing latency
@@ -262,56 +59,31 @@ func NewSynthFS(clone *SNClone, spec platform.Spec, seed int64, intra int) *FSEn
 // variant) point is an independent cell, so the report is byte-identical at
 // any -parallel width. qps <= 0 runs the closed loop (the default).
 func RunFigS(w io.Writer, opt Options, qps float64) FigSResult {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
+	f := newFigure("figS", opt)
+	var targets []*target
+	for _, b := range fsBackends {
+		t := newTarget(b, "figS", map[string]Load{"": fsLoad(qps, f.opt.Seed)})
+		t.fs = b
+		targets = append(targets, f.multiTarget(runner.Key("figS", b, "clone"), t, "", f.opt.Windows))
 	}
-
-	p := runner.NewPlan()
-	clones := make([]*SNClone, len(fsBackends))
-	for i, b := range fsBackends {
-		i, b := i, b
-		p.AddPrep(runner.Key("figS", b, "clone"), func(io.Writer) (any, error) {
-			clones[i] = CloneFS(b, fsSpec(), fsLoad(qps, opt.Seed), opt.Windows, opt.Seed+17)
-			return nil, nil
-		})
-	}
-	p.Barrier()
-	runner.Grid2(p, fsBackends, fig5Variants,
-		func(b, v string) string { return runner.Key("figS", b, v) },
-		func(b, v string, cw io.Writer) (any, error) {
-			var d *FSEnv
-			if v == "actual" {
-				d = NewOriginalFS(b, fsSpec(), opt.Seed+17, opt.IntraParallel)
-			} else {
-				var clone *SNClone
-				for i := range fsBackends {
-					if fsBackends[i] == b {
-						clone = clones[i]
-					}
-				}
-				d = NewSynthFS(clone, fsSpec(), opt.Seed+18, opt.IntraParallel)
-			}
-			pt := MeasureFS(d, fsLoad(qps, opt.Seed), opt.Windows)
-			pt.Backend, pt.Variant = b, v
-			d.Env.Shutdown()
-			if !opt.Quiet {
-				row(cw, "figS: %-4s %-9s p50=%.3f p95=%.3f p99=%.3f thr=%.0f diskR=%.2fMB/s diskW=%.2fMB/s pc-hit=%.3f fsync=%.4f/%.4fms rate=%.0f/s",
-					pt.Backend, pt.Variant, pt.P50Ms, pt.P95Ms, pt.P99Ms,
-					pt.Throughput, pt.DiskReadBW/1e6, pt.DiskWriteBW/1e6,
-					pt.PCHitRate, pt.FsyncMeanMs, pt.FsyncP99Ms, pt.FsyncRate)
-			}
-			return pt, nil
-		})
-
-	var res FigSResult
-	results := runPlan(w, p, opt, "figS: backend variant p50 p95 p99 thr diskR diskW pc-hit fsync-mean/p99 fsync-rate")
-	if results == nil {
-		return res
-	}
-	for _, r := range results {
-		if pt, ok := r.Value.(FigSPoint); ok {
-			res.Points = append(res.Points, pt)
+	f.p.Barrier()
+	var cells []cellSpec
+	for _, t := range targets {
+		for _, v := range variants {
+			cells = append(cells, cellSpec{key: runner.Key("figS", t.fs, v), variant: v, tgt: t,
+				plat: fsSpec(), win: f.opt.Windows, full: true,
+				measure: func(d *Deployment, load Load, win Windows) any { return MeasureFS(d, load, win) }})
 		}
 	}
-	return res
+	addCells(f, cells, func(c cellSpec, out cellOut) []FigSPoint {
+		pt := out.point.(FigSPoint)
+		pt.Backend, pt.Variant = c.tgt.fs, c.variant
+		return []FigSPoint{pt}
+	}, func(w io.Writer, pt FigSPoint) {
+		row(w, "figS: %-4s %-9s p50=%.3f p95=%.3f p99=%.3f thr=%.0f diskR=%.2fMB/s diskW=%.2fMB/s pc-hit=%.3f fsync=%.4f/%.4fms rate=%.0f/s",
+			pt.Backend, pt.Variant, pt.P50Ms, pt.P95Ms, pt.P99Ms,
+			pt.Throughput, pt.DiskReadBW/1e6, pt.DiskWriteBW/1e6,
+			pt.PCHitRate, pt.FsyncMeanMs, pt.FsyncP99Ms, pt.FsyncRate)
+	})
+	return FigSResult{Points: rowsOf[FigSPoint](f.run(w, "figS: backend variant p50 p95 p99 thr diskR diskW pc-hit fsync-mean/p99 fsync-rate"))}
 }

@@ -36,6 +36,7 @@ func TestFigSOutputIdenticalAcrossPoolWidths(t *testing.T) {
 		t.Fatalf("serial run produced %d points, want 6 (3 backends x 2 variants)",
 			len(resSerial.Points))
 	}
+	checkGolden(t, outSerial)
 	for _, pt := range resSerial.Points {
 		if pt.Throughput == 0 || pt.DiskWriteBW == 0 {
 			t.Fatalf("figS %s/%s served no storage traffic: %+v", pt.Backend, pt.Variant, pt)
@@ -63,6 +64,7 @@ func TestFigSOutputIdenticalAcrossIntraWidths(t *testing.T) {
 	if len(resSerial.Points) != 6 {
 		t.Fatalf("intra=1 run produced %d points, want 6", len(resSerial.Points))
 	}
+	checkGolden(t, outSerial)
 	for _, intra := range []int{8} {
 		out, res := figSRun(2, intra)
 		if !bytes.Equal(outSerial, out) {

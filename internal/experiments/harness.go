@@ -17,17 +17,21 @@ import (
 	"ditto/internal/profile"
 	"ditto/internal/sim"
 	"ditto/internal/steady"
-	"ditto/internal/synth"
 )
 
 // Env is one self-contained simulation environment: a server machine and a
 // client machine joined by a cluster fabric. In classic mode every machine
 // shares one engine (Eng); in sharded mode each machine owns a shard of a
 // World and Eng is nil — drive the environment through the Env methods
-// (RunFor/RunUntil/Now), which work in both modes.
+// (RunFor/Now), which work in both modes.
 type Env struct {
-	Eng     *sim.Engine // classic single-queue engine; nil when sharded
-	World   *sim.World  // sharded conservative-parallel engine; nil when classic
+	Eng   *sim.Engine // classic single-queue engine; nil when sharded
+	World *sim.World  // sharded conservative-parallel engine; nil when classic
+	clock interface { // whichever of the two drives the environment
+		RunFor(sim.Time)
+		Now() sim.Time
+		Run()
+	}
 	Cluster *platform.Cluster
 	Server  *platform.Machine
 	Client  *platform.Machine
@@ -55,9 +59,10 @@ func NewEnvW(intra int, spec platform.Spec, serverOpts ...platform.Option) *Env 
 	var eng *sim.Engine
 	if intra > 0 {
 		e.World = sim.NewWorld(rtt/2, intra)
+		e.clock = e.World
 	} else {
 		eng = sim.NewEngine()
-		e.Eng = eng
+		e.Eng, e.clock = eng, eng
 	}
 	e.Cluster = platform.NewCluster(eng, rtt)
 	e.Server = platform.NewMachine(e.newShard(), "server", spec, serverOpts...)
@@ -160,30 +165,10 @@ func (e *Env) WarmupFor(budget sim.Time) {
 }
 
 // RunFor advances the environment's virtual time by d.
-func (e *Env) RunFor(d sim.Time) {
-	if e.World != nil {
-		e.World.RunFor(d)
-		return
-	}
-	e.Eng.RunFor(d)
-}
-
-// RunUntil advances the environment's virtual time to exactly t.
-func (e *Env) RunUntil(t sim.Time) {
-	if e.World != nil {
-		e.World.RunUntil(t)
-		return
-	}
-	e.Eng.RunUntil(t)
-}
+func (e *Env) RunFor(d sim.Time) { e.clock.RunFor(d) }
 
 // Now returns the environment's virtual time.
-func (e *Env) Now() sim.Time {
-	if e.World != nil {
-		return e.World.Now()
-	}
-	return e.Eng.Now()
-}
+func (e *Env) Now() sim.Time { return e.clock.Now() }
 
 // Shutdown stops every kernel and drains the engine(s), releasing thread
 // goroutines.
@@ -193,11 +178,7 @@ func (e *Env) Shutdown() {
 	for _, m := range e.extra {
 		m.Kernel.Stop()
 	}
-	if e.World != nil {
-		e.World.Run()
-		return
-	}
-	e.Eng.Run()
+	e.clock.Run()
 }
 
 // Load describes one measurement's load configuration.
@@ -288,67 +269,44 @@ func metricsOf(c cpu.Counters) profile.TargetMetrics {
 	}
 }
 
-// measureApp is the standard single-tier measurement cell body: build an
-// environment on spec (sharded when intra ≥ 1), start the app build
-// returns, measure it under load, and tear the environment down. Every
-// state it touches is freshly constructed, which is what makes cells safe
-// to run concurrently.
-// sampled enables steady-state sampled execution for the measurement: the
-// warmup window doubles as the detector's convergence run (a variant only
-// starts modeling after Window×Stable full executions), so the measured
-// window sees converged sampling.
-func measureApp(spec platform.Spec, opts []platform.Option, build AppBuilder, load Load, win Windows, intra int, sampled bool) Result {
-	env := NewEnvW(intra, spec, opts...)
-	if sampled {
-		env.EnableSampling(load.Seed)
-	}
-	a := build(env.Server)
-	a.Start()
-	r := Measure(env, a, load, win)
-	env.Shutdown()
-	return r
-}
-
 // Measure drives app a (already started on env.Server) with the given load
 // and returns a Result measured over the post-warmup window.
 func Measure(env *Env, a app.App, load Load, win Windows) Result {
-	g := loadgen.New(loadgen.Config{
-		Name: "lg", Machine: env.Client, Target: a.Machine().Kernel,
-		Port: a.Port(), Conns: load.Conns, QPS: load.QPS,
-		Mix: load.Mix, Seed: load.Seed,
-	})
-	g.Start()
-	env.WarmupFor(win.Warmup)
-	env.ArmSampling()
-	g.Reset()
-	before := snap(a.Proc())
-	start := env.Now()
-	env.RunFor(win.Measure)
-	dur := (env.Now() - start).Seconds()
-	after := snap(a.Proc())
+	e2e, per := MeasureSN(deployApp(env, a), load, win, []string{a.Name()})
+	r := per[a.Name()]
+	r.AvgMs, r.P50Ms, r.P95Ms, r.P99Ms, r.Throughput = e2e.AvgMs, e2e.P50Ms, e2e.P95Ms, e2e.P99Ms, e2e.Throughput
+	return r
+}
 
-	ctr := deltaCounters(after.ctr, before.ctr)
+// latencyResult is the client side of a measurement window of dur seconds:
+// latency percentiles and throughput.
+func latencyResult(g *loadgen.Generator, dur float64) Result {
 	lat := g.Latency()
-	res := Result{
-		Counters:   ctr,
-		Metrics:    metricsOf(ctr),
-		AvgMs:      lat.Mean(),
-		P50Ms:      lat.Percentile(50),
-		P95Ms:      lat.Percentile(95),
-		P99Ms:      lat.Percentile(99),
+	return Result{
+		AvgMs: lat.Mean(), P50Ms: lat.Percentile(50),
+		P95Ms: lat.Percentile(95), P99Ms: lat.Percentile(99),
 		Throughput: float64(g.Received()) / dur,
-		NetBW:      float64(after.tx-before.tx+after.rx-before.rx) / dur,
-		DiskBW:     float64(after.disk-before.disk+after.diskW-before.diskW) / dur,
+	}
+}
+
+// counterResult is the server side of a measurement window of dur seconds:
+// one process's counter deltas, calibrated metrics, top-down breakdown and
+// network and disk bandwidth.
+func counterResult(b, a snapshot, dur float64) Result {
+	ctr := deltaCounters(a.ctr, b.ctr)
+	r := Result{Counters: ctr, Metrics: metricsOf(ctr),
+		NetBW:  float64(a.tx-b.tx+a.rx-b.rx) / dur,
+		DiskBW: float64(a.disk-b.disk+a.diskW-b.diskW) / dur,
 	}
 	if ctr.Cycles > 0 {
-		res.TopDown = [4]float64{
+		r.TopDown = [4]float64{
 			ctr.Retiring / ctr.Cycles,
 			ctr.Frontend / ctr.Cycles,
 			ctr.BadSpec / ctr.Cycles,
 			ctr.Backend / ctr.Cycles,
 		}
 	}
-	return res
+	return r
 }
 
 // socialWindows stretches the measurement window for social-network runs:
@@ -385,41 +343,28 @@ func ProfileRunSampled(build AppBuilder, load Load, win Windows, maxDataWS int) 
 // detailed windows that execute after arming preserve every profiled rate
 // while the modeled stretch skips work the profile has already seen.
 func profileRun(build AppBuilder, load Load, win Windows, maxDataWS int, sampled bool) *profile.AppProfile {
-	env := NewEnv(platform.A(), platform.WithCoreCount(8))
-	if sampled {
-		env.EnableSampling(load.Seed)
-	}
-	a := build(env.Server)
-	a.Start()
-	p := profile.NewProfiler(a.Name())
-	if maxDataWS > 0 {
-		p.MaxDataWS = maxDataWS
-	}
-	p.Attach(a.Proc())
-	g := loadgen.New(loadgen.Config{
-		Name: "lg", Machine: env.Client, Target: env.Server.Kernel,
-		Port: a.Port(), Conns: load.Conns, QPS: load.QPS, Mix: load.Mix,
-		Seed: load.Seed,
-	})
-	g.Start()
-	env.WarmupFor(win.Warmup)
-	env.ArmSampling()
-	env.RunFor(win.Measure)
-	prof := p.Finish()
-	env.Shutdown()
-	return prof
+	t := &target{app: &appCase{build: build}, loads: map[string]Load{"": load}}
+	return Options{Sampled: sampled}.runCell(cellSpec{variant: "actual", tgt: t, plat: platform.A(), cores: 8, win: win,
+		measure: func(d *Deployment, load Load, win Windows) any {
+			p := profile.NewProfiler(d.app.Name())
+			if maxDataWS > 0 {
+				p.MaxDataWS = maxDataWS
+			}
+			p.Attach(d.app.Proc())
+			d.startClient(load)
+			d.Env.WarmupFor(win.Warmup)
+			d.Env.ArmSampling()
+			d.Env.RunFor(win.Measure)
+			return p.Finish()
+		}}).point.(*profile.AppProfile)
 }
 
 // SynthRunner returns a core.Runner that measures candidate specs on
 // Platform A under the reference load — the fine-tuner's measurement arm.
 func SynthRunner(load Load, win Windows) core.Runner {
 	return func(spec *core.SynthSpec) profile.TargetMetrics {
-		env := NewEnv(platform.A(), platform.WithCoreCount(8))
-		s := synth.NewServer(env.Server, 9100, spec, load.Seed+99)
-		s.Start()
-		res := Measure(env, s, load, win)
-		env.Shutdown()
-		return res.Metrics
+		t := &target{app: &appCase{port: 9100}, spec: spec, seeds: seeds{synth: 99}, loads: map[string]Load{"": load}}
+		return Options{Seed: load.Seed}.runCell(cellSpec{variant: "synthetic", tgt: t, plat: platform.A(), cores: 8, win: win}).Metrics
 	}
 }
 

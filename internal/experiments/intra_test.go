@@ -35,6 +35,7 @@ func TestFigureOutputIdenticalAcrossIntraWidths(t *testing.T) {
 	if len(resSerial.Points) == 0 {
 		t.Fatal("intra=1 run produced no points")
 	}
+	checkGolden(t, outSerial)
 	for _, intra := range []int{2, 8} {
 		out, res := run(intra)
 		if !bytes.Equal(outSerial, out) {

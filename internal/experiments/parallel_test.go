@@ -33,6 +33,7 @@ func TestFigureOutputIdenticalAcrossPoolWidths(t *testing.T) {
 	if len(resSerial.Points) == 0 {
 		t.Fatal("serial run produced no points")
 	}
+	checkGolden(t, outSerial)
 	if !bytes.Equal(outSerial, outWide) {
 		t.Fatalf("output differs between -parallel 1 and -parallel 8:\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s",
 			outSerial, outWide)
@@ -67,6 +68,7 @@ func TestFigFOutputIdenticalAcrossPoolWidths(t *testing.T) {
 		t.Fatalf("serial run produced %d points, want >= 12 (6+ scenarios x 2 variants)",
 			len(resSerial.Points))
 	}
+	checkGolden(t, outSerial)
 	if !bytes.Equal(outSerial, outWide) {
 		t.Fatalf("figF output differs between -parallel 1 and -parallel 8:\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s",
 			outSerial, outWide)

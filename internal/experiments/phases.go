@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"ditto/internal/loadgen"
 	"ditto/internal/platform"
 	"ditto/internal/sim"
 	"ditto/internal/stats"
@@ -24,41 +23,40 @@ type PhaseScan struct {
 // RunPhaseScan measures an app's IPC time series: windows sub-windows of
 // the given width each, after warmup.
 func RunPhaseScan(w io.Writer, opt Options, build AppBuilder, load Load, windows int) PhaseScan {
-	if opt.Windows.Measure == 0 {
-		opt.Windows = DefaultWindows()
-	}
+	opt = opt.withDefaults()
 	if windows <= 0 {
 		windows = 10
 	}
-	env := NewEnv(platform.A(), platform.WithCoreCount(8))
-	a := build(env.Server)
-	a.Start()
-	g := loadgen.New(loadgen.Config{Name: "lg", Machine: env.Client,
-		Target: env.Server.Kernel, Port: a.Port(), Conns: load.Conns,
-		QPS: load.QPS, Mix: load.Mix, Seed: load.Seed})
-	g.Start()
-	env.Eng.RunFor(opt.Windows.Warmup)
-
-	var scan PhaseScan
-	var agg stats.Running
-	prev := a.Proc().Counters
-	for i := 0; i < windows; i++ {
-		env.Eng.RunFor(opt.Windows.Measure / sim.Time(windows))
-		now := a.Proc().Counters
-		d := deltaCounters(now, prev)
-		prev = now
-		ipc := d.IPC()
-		scan.Samples = append(scan.Samples, ipc)
-		agg.Add(ipc)
-	}
-	env.Shutdown()
-	scan.Mean = agg.Mean()
-	if scan.Mean > 0 {
-		scan.CoV = agg.StdDev() / scan.Mean
-	}
+	opt.IntraParallel = 0 // the scan has always run on the classic engine
+	t := &target{app: &appCase{build: build}, loads: map[string]Load{"": load}}
+	var name string
+	out := opt.runCell(cellSpec{variant: "actual", tgt: t, plat: platform.A(), cores: 8, win: opt.Windows, full: true,
+		measure: func(d *Deployment, load Load, win Windows) any {
+			d.startClient(load)
+			d.Env.RunFor(win.Warmup)
+			var scan PhaseScan
+			var agg stats.Running
+			prev := d.app.Proc().Counters
+			for i := 0; i < windows; i++ {
+				d.Env.RunFor(win.Measure / sim.Time(windows))
+				now := d.app.Proc().Counters
+				delta := deltaCounters(now, prev)
+				prev = now
+				ipc := delta.IPC()
+				scan.Samples = append(scan.Samples, ipc)
+				agg.Add(ipc)
+			}
+			scan.Mean = agg.Mean()
+			if scan.Mean > 0 {
+				scan.CoV = agg.StdDev() / scan.Mean
+			}
+			name = d.app.Name()
+			return scan
+		}})
+	scan := out.point.(PhaseScan)
 	if !opt.Quiet {
 		row(w, "phases: app=%s mean-ipc=%.3f cov=%.3f samples=%d",
-			a.Name(), scan.Mean, scan.CoV, len(scan.Samples))
+			name, scan.Mean, scan.CoV, len(scan.Samples))
 	}
 	return scan
 }

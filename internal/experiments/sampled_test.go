@@ -44,6 +44,7 @@ func TestSampledFigureCellIdenticalAcrossPoolWidths(t *testing.T) {
 	if len(resSerial.Rows) == 0 {
 		t.Fatal("serial run produced no rows")
 	}
+	checkGolden(t, outSerial)
 	if !bytes.Equal(outSerial, outWide) {
 		t.Fatalf("sampled output differs between -parallel 1 and -parallel 8:\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s",
 			outSerial, outWide)
@@ -74,6 +75,7 @@ func TestSampledFigureCellIdenticalAcrossIntraWidths(t *testing.T) {
 	if len(resSerial.Rows) == 0 {
 		t.Fatal("intra=1 run produced no rows")
 	}
+	checkGolden(t, outSerial)
 	for _, intra := range []int{2, 8} {
 		out, res := run(intra)
 		if !bytes.Equal(outSerial, out) {
@@ -106,6 +108,7 @@ func TestSampledFigureCellSeededRepeatIdentity(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("run produced no output")
 	}
+	checkGolden(t, first)
 	if again := run(3); !bytes.Equal(first, again) {
 		t.Fatalf("seeded repeat differs:\n--- first ---\n%s\n--- second ---\n%s", first, again)
 	}

@@ -269,7 +269,7 @@ func (w *World) merge() {
 				// delivery slots in at the receiver's current clock.
 				at = d.now
 			}
-			d.schedule(at, ev.fn, true)
+			d.schedule(at, ev.fn)
 		}
 		w.scratch = buf[:0]
 	}

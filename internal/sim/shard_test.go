@@ -33,49 +33,6 @@ func TestFromSecondsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCancelNeverPopped pins the invariant that lets Step/RunUntil skip
-// cancelled-event checks: Cancel removes the event from the heap, so a
-// cancelled event can never be popped or fired.
-func TestCancelNeverPopped(t *testing.T) {
-	e := NewEngine()
-	var fired []string
-	mk := func(name string, at Time) *Event {
-		return e.Schedule(at, func() { fired = append(fired, name) })
-	}
-	a := mk("a", 10)
-	b := mk("b", 20)
-	c := mk("c", 30)
-	if !e.Cancel(b) {
-		t.Fatal("Cancel(b) = false")
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending after cancel = %d, want 2 (cancelled event must leave the heap immediately)", e.Pending())
-	}
-	e.Run()
-	if got := strings.Join(fired, ","); got != "a,c" {
-		t.Fatalf("fired %q, want a,c", got)
-	}
-	if !a.Fired() || !c.Fired() || b.Fired() {
-		t.Fatal("Fired flags wrong after run")
-	}
-	if !b.Cancelled() || a.Cancelled() {
-		t.Fatal("Cancelled flags wrong after run")
-	}
-	// Cancelling the head mid-run must also keep it out of the pop path.
-	e2 := NewEngine()
-	var log []Time
-	var head *Event
-	head = e2.Schedule(5, func() { log = append(log, 5) })
-	e2.Schedule(3, func() {
-		log = append(log, 3)
-		e2.Cancel(head)
-	})
-	e2.Run()
-	if len(log) != 1 || log[0] != 3 {
-		t.Fatalf("log = %v, want [3]", log)
-	}
-}
-
 // buildRaceWorld wires the satellite-3 fixture: shards A and B race
 // deliveries into shard C at identical virtual times, with C also running
 // local events at those instants. Returns the world and a log capturing C's

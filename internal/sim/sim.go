@@ -71,32 +71,16 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. Events are created by Engine.Schedule and
-// Engine.After and may be cancelled until they fire. Events created by the
-// handle-free ScheduleFunc/AfterFunc variants are recycled through the
-// engine's free list and never escape.
-type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	index     int // heap index, -1 once popped or cancelled
-	cancelled bool
-	fired     bool
-	pooled    bool
+// event is a scheduled callback. Events have no outside handle — they
+// cannot be cancelled or inspected — so the engine recycles every event
+// through its free list once it fires.
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel prevented the event from firing. Events
-// that already fired report false: firing and cancellation are mutually
-// exclusive outcomes.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -105,22 +89,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -136,11 +111,11 @@ type Engine struct {
 	events eventHeap
 	seq    uint64
 	fired  uint64
-	// free recycles events scheduled through ScheduleFunc/AfterFunc. Those
-	// events never escape to callers, so reusing their memory is safe; the
-	// hot path (kernel wakeups, network deliveries — millions per run)
-	// stops allocating one *Event per schedule.
-	free []*Event
+	// free recycles fired events. Events never escape to callers, so
+	// reusing their memory is safe; the hot path (kernel wakeups, network
+	// deliveries — millions per run) stops allocating one event per
+	// schedule.
+	free []*event
 	// id and world bind a shard engine to its World; both stay zero for a
 	// classic standalone engine.
 	id    int
@@ -159,87 +134,52 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are scheduled and not yet fired.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// Schedule registers fn to run at absolute time at. Scheduling in the past
-// (at < Now) panics: it always indicates a modeling bug, and silently
+// ScheduleFunc registers fn to run at absolute time at. Scheduling in the
+// past (at < Now) panics: it always indicates a modeling bug, and silently
 // clamping would hide it.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	return e.schedule(at, fn, false)
-}
-
-// After registers fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.schedule(e.now+d, fn, false)
-}
-
-// ScheduleFunc registers fn to run at absolute time at without returning a
-// handle. The event cannot be cancelled or inspected, which lets the engine
-// recycle its memory through a free list once it fires — use this on hot
-// paths that never cancel.
 func (e *Engine) ScheduleFunc(at Time, fn func()) {
-	e.schedule(at, fn, true)
+	e.schedule(at, fn)
 }
 
-// AfterFunc registers fn to run d after the current time without returning
-// a handle; see ScheduleFunc.
+// AfterFunc registers fn to run d after the current time; a negative d
+// fires at the current time.
 func (e *Engine) AfterFunc(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, fn, true)
+	e.schedule(e.now+d, fn)
 }
 
-func (e *Engine) schedule(at Time, fn func(), pooled bool) *Event {
+func (e *Engine) schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	var ev *Event
-	if n := len(e.free); pooled && n > 0 {
+	var ev *event
+	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*ev = Event{at: at, seq: e.seq, fn: fn, pooled: true}
+		*ev = event{at: at, seq: e.seq, fn: fn}
 	} else {
-		ev = &Event{at: at, seq: e.seq, fn: fn, pooled: pooled}
+		ev = &event{at: at, seq: e.seq, fn: fn}
 	}
 	e.seq++
 	heap.Push(&e.events, ev)
-	return ev
-}
-
-// Cancel prevents ev from firing and reports whether this call actually
-// stopped it. Cancelling a nil, already-cancelled or already-fired event is
-// a no-op returning false; in particular a fired event keeps reporting
-// Cancelled() == false, so history is never misreported.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.cancelled || ev.fired || ev.index < 0 {
-		return false
-	}
-	ev.cancelled = true
-	heap.Remove(&e.events, ev.index)
-	return true
 }
 
 // Step fires the next pending event, advancing the clock to its time. It
-// reports whether an event was fired. Cancelled events need no filtering
-// here: Cancel heap.Removes the event, so a cancelled event is never in the
-// heap (TestCancelNeverPopped pins the invariant).
+// reports whether an event was fired.
 func (e *Engine) Step() bool {
 	if len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+		ev := heap.Pop(&e.events).(*event)
 		e.now = ev.at
 		e.fired++
 		fn := ev.fn
-		ev.fired = true
-		if ev.pooled {
-			// Release before running fn so an immediate reschedule inside
-			// the callback reuses this slot. Pooled events have no outside
-			// handle, so nothing can observe the reuse.
-			ev.fn = nil
-			e.free = append(e.free, ev)
-		}
+		// Release before running fn so an immediate reschedule inside the
+		// callback reuses this slot. Events have no outside handle, so
+		// nothing can observe the reuse.
+		ev.fn = nil
+		e.free = append(e.free, ev)
 		fn()
 		return true
 	}
@@ -253,8 +193,7 @@ func (e *Engine) Run() {
 }
 
 // RunUntil fires events with time ≤ t, then advances the clock to exactly t.
-// Events scheduled for later remain pending. As in Step, no cancelled-event
-// filtering is needed: Cancel removes events from the heap.
+// Events scheduled for later remain pending.
 func (e *Engine) RunUntil(t Time) {
 	for len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()
@@ -272,10 +211,10 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // destination's ordered inbox and merged at the next window barrier — the
 // only way one shard may touch another's future. Outside a running World
 // (same engine, standalone engines, or setup time between World runs) it
-// degenerates to a plain handle-free schedule on dst.
+// degenerates to a plain schedule on dst.
 func (e *Engine) ScheduleCross(dst *Engine, at Time, fn func()) {
 	if dst == e || e.world == nil || e.world != dst.world || !e.world.running {
-		dst.schedule(at, fn, true)
+		dst.schedule(at, fn)
 		return
 	}
 	e.world.stage(e, dst, at, fn)

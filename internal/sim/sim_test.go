@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -43,9 +43,9 @@ func TestTimeString(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.ScheduleFunc(30, func() { order = append(order, 3) })
+	e.ScheduleFunc(10, func() { order = append(order, 1) })
+	e.ScheduleFunc(20, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -60,7 +60,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		e.ScheduleFunc(5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -70,51 +70,12 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	// Double cancel is a no-op.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestEngineCancelMiddle(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	evs := make([]*Event, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		evs[i] = e.Schedule(Time(i), func() { order = append(order, i) })
-	}
-	e.Cancel(evs[4])
-	e.Cancel(evs[7])
-	e.Run()
-	want := []int{0, 1, 2, 3, 5, 6, 8, 9}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestEngineAfterAndNesting(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	e.After(10, func() {
+	e.AfterFunc(10, func() {
 		times = append(times, e.Now())
-		e.After(5, func() {
+		e.AfterFunc(5, func() {
 			times = append(times, e.Now())
 		})
 	})
@@ -127,23 +88,23 @@ func TestEngineAfterAndNesting(t *testing.T) {
 func TestEngineNegativeAfterClamps(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.After(-5, func() { ran = true })
+	e.AfterFunc(-5, func() { ran = true })
 	e.Run()
 	if !ran {
-		t.Fatal("After(-5) should fire immediately")
+		t.Fatal("AfterFunc(-5) should fire immediately")
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleFunc(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.Schedule(5, func() {})
+	e.ScheduleFunc(5, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
@@ -151,7 +112,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.ScheduleFunc(at, func() { fired = append(fired, at) })
 	}
 	e.RunUntil(12)
 	if len(fired) != 2 {
@@ -170,104 +131,16 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunUntilSkipsCancelled(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5, func() { t.Fatal("should not fire") })
-	e.Cancel(ev)
-	// Cancel removes from the heap, but also exercise the lazy path by
-	// marking one cancelled directly after a second cancel call.
-	e.RunUntil(10)
-	if e.Now() != 10 {
-		t.Fatalf("Now = %v", e.Now())
-	}
-}
-
 func TestFiredAndPending(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
+	e.ScheduleFunc(1, func() {})
+	e.ScheduleFunc(2, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d", e.Pending())
 	}
 	e.Run()
 	if e.Fired() != 2 || e.Pending() != 0 {
 		t.Fatalf("Fired=%d Pending=%d", e.Fired(), e.Pending())
-	}
-}
-
-func TestCancelReportsWhetherPrevented(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(10, func() {})
-	if !e.Cancel(ev) {
-		t.Fatal("first Cancel should report true: it removed the event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("second Cancel should report false: nothing left to stop")
-	}
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) should report false")
-	}
-	e.Run()
-}
-
-func TestCancelAfterFiringReportsFalse(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.Schedule(10, func() { ran = true })
-	e.Run()
-	if !ran || !ev.Fired() {
-		t.Fatalf("event should have fired: ran=%v Fired=%v", ran, ev.Fired())
-	}
-	if e.Cancel(ev) {
-		t.Fatal("cancelling a fired event must report false")
-	}
-	if ev.Cancelled() {
-		t.Fatal("a fired event must keep Cancelled() == false")
-	}
-}
-
-// Satellite regression: RunUntil with cancellations interleaved between and
-// inside windows fires exactly the surviving events and still lands the
-// clock on every requested boundary.
-func TestRunUntilInterleavedCancellations(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	evs := map[Time]*Event{}
-	for _, at := range []Time{5, 10, 15, 20, 25, 30} {
-		at := at
-		evs[at] = e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	// Cancel a future event from inside an earlier one.
-	e.Schedule(6, func() {
-		if !e.Cancel(evs[15]) {
-			t.Error("in-callback Cancel of pending event should report true")
-		}
-	})
-	e.RunUntil(12)
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
-		t.Fatalf("window 1 fired %v, want [5 10]", fired)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("Now = %v, want 12", e.Now())
-	}
-	// Cancel between windows.
-	if !e.Cancel(evs[20]) {
-		t.Fatal("between-window Cancel should report true")
-	}
-	e.RunUntil(22)
-	if len(fired) != 2 {
-		t.Fatalf("window 2 fired %v, want nothing new (15, 20 cancelled)", fired)
-	}
-	if e.Now() != 22 {
-		t.Fatalf("Now = %v, want 22 even with all window events cancelled", e.Now())
-	}
-	// Cancelling what already fired changes nothing.
-	if e.Cancel(evs[10]) {
-		t.Fatal("Cancel of fired event should report false")
-	}
-	e.Run()
-	if len(fired) != 4 || fired[2] != 25 || fired[3] != 30 {
-		t.Fatalf("final fired %v, want [5 10 25 30]", fired)
 	}
 }
 
@@ -289,19 +162,6 @@ func TestScheduleFuncRecyclesThroughFreeList(t *testing.T) {
 	e.Run()
 	if len(e.free) != 1 {
 		t.Fatalf("free list has %d events after drain, want 1", len(e.free))
-	}
-}
-
-func TestUnpooledEventsAreNotRecycled(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(1, func() {})
-	e.After(2, func() {})
-	e.Run()
-	if len(e.free) != 0 {
-		t.Fatalf("handle-returning events must not enter the free list, got %d", len(e.free))
-	}
-	if !ev.Fired() {
-		t.Fatal("event should have fired")
 	}
 }
 
@@ -327,14 +187,14 @@ func TestPooledRescheduleInsideCallback(t *testing.T) {
 	}
 }
 
-// Pooled and unpooled events at the same instant must still fire FIFO even
-// when the pooled ones are recycled mid-instant.
+// Events at the same instant must still fire FIFO when they are recycled
+// mid-instant.
 func TestPooledPreservesSameInstantFIFO(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	for round := 0; round < 3; round++ {
 		e.ScheduleFunc(5, func() { order = append(order, len(order)) })
-		e.Schedule(5, func() { order = append(order, len(order)) })
+		e.AfterFunc(5, func() { order = append(order, len(order)) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -355,7 +215,7 @@ func TestEventOrderProperty(t *testing.T) {
 		var fired []Time
 		for _, d := range delays {
 			at := Time(d)
-			e.Schedule(at, func() { fired = append(fired, e.Now()) })
+			e.ScheduleFunc(at, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -368,30 +228,45 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: random interleavings of schedule/cancel fire exactly the
-// non-cancelled events.
-func TestCancelProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		e := NewEngine()
-		n := 1 + rng.Intn(64)
-		fired := make([]bool, n)
-		evs := make([]*Event, n)
-		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = e.Schedule(Time(rng.Intn(100)), func() { fired[i] = true })
-		}
-		cancelled := make([]bool, n)
-		for i := 0; i < n/2; i++ {
-			j := rng.Intn(n)
-			cancelled[j] = true
-			e.Cancel(evs[j])
-		}
-		e.Run()
-		for i := 0; i < n; i++ {
-			if fired[i] == cancelled[i] {
-				t.Fatalf("trial %d event %d: fired=%v cancelled=%v", trial, i, fired[i], cancelled[i])
-			}
-		}
+// RunUntil with events scheduled between windows and from inside earlier
+// callbacks fires exactly the due events and still lands the clock on every
+// requested boundary, including a window with nothing to fire.
+func TestRunUntilInterleavedScheduling(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	at := func(ts Time) func() { return func() { fired = append(fired, ts) } }
+	for _, ts := range []Time{5, 10, 25} {
+		e.ScheduleFunc(ts, at(ts))
+	}
+	// Schedule a later event from inside an earlier one.
+	e.ScheduleFunc(6, func() { e.AfterFunc(24, at(30)) })
+	e.RunUntil(12)
+	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
+		t.Fatalf("window 1 fired %v, want [5 10]", fired)
+	}
+	if e.Now() != 12 {
+		t.Fatalf("Now = %v, want 12", e.Now())
+	}
+	e.RunUntil(22)
+	if len(fired) != 2 || e.Now() != 22 {
+		t.Fatalf("empty window fired %v, now %v; want nothing new and now 22", fired, e.Now())
+	}
+	// Schedule between windows.
+	e.ScheduleFunc(27, at(27))
+	e.Run()
+	if want := []Time{5, 10, 25, 27, 30}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("final fired %v, want %v", fired, want)
+	}
+}
+
+// Every event is recycled: a drained engine holds each event it ever
+// allocated on its free list, and nothing else.
+func TestEveryEventIsRecycled(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleFunc(1, func() {})
+	e.AfterFunc(2, func() {})
+	e.Run()
+	if len(e.free) != 2 {
+		t.Fatalf("free list has %d events after draining two, want 2", len(e.free))
 	}
 }
