@@ -228,6 +228,68 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
+// With Cancel gone, a caller drops a pending event by guarding its callback
+// with a flag (the kernel's wait queues treat stale wakes the same way). The
+// event still pops, so RunUntil must land the clock on the boundary even
+// when the only event in the window does nothing.
+func TestRunUntilSkipsCancelled(t *testing.T) {
+	e := NewEngine()
+	cancelled := false
+	e.ScheduleFunc(5, func() {
+		if !cancelled {
+			t.Fatal("should not fire")
+		}
+	})
+	cancelled = true
+	e.RunUntil(10)
+	if e.Now() != 10 {
+		t.Fatalf("Now = %v", e.Now())
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d, want the cancelled event popped", e.Pending())
+	}
+}
+
+// Caller-side cancellation, from inside an earlier callback and between
+// windows, across RunUntil boundaries.
+func TestRunUntilInterleavedCancellations(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	cancelled := map[Time]bool{}
+	for _, ts := range []Time{5, 10, 15, 20, 25, 30} {
+		ts := ts
+		e.ScheduleFunc(ts, func() {
+			if !cancelled[ts] {
+				fired = append(fired, ts)
+			}
+		})
+	}
+	// Cancel a future event from inside an earlier one.
+	e.ScheduleFunc(6, func() { cancelled[15] = true })
+	e.RunUntil(12)
+	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
+		t.Fatalf("window 1 fired %v, want [5 10]", fired)
+	}
+	if e.Now() != 12 {
+		t.Fatalf("Now = %v, want 12", e.Now())
+	}
+	// Cancel between windows.
+	cancelled[20] = true
+	e.RunUntil(22)
+	if len(fired) != 2 {
+		t.Fatalf("window 2 fired %v, want nothing new (15, 20 cancelled)", fired)
+	}
+	if e.Now() != 22 {
+		t.Fatalf("Now = %v, want 22 even with all window events cancelled", e.Now())
+	}
+	// Cancelling what already fired changes nothing.
+	cancelled[10] = true
+	e.Run()
+	if want := []Time{5, 10, 25, 30}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("final fired %v, want %v", fired, want)
+	}
+}
+
 // RunUntil with events scheduled between windows and from inside earlier
 // callbacks fires exactly the due events and still lands the clock on every
 // requested boundary, including a window with nothing to fire.
